@@ -9,7 +9,13 @@ package ppa
 
 import (
 	"context"
+	"runtime"
 	"testing"
+
+	"ppa/internal/litmus"
+	"ppa/internal/multicore"
+	"ppa/internal/persist"
+	"ppa/internal/workload"
 )
 
 // coreStepAllocCeiling is the committed allocs-per-cycle budget for a warm
@@ -74,6 +80,57 @@ func TestCoreStepAllocCeiling(t *testing.T) {
 		t.Fatalf("hot loop allocates %.3f objects/cycle, ceiling %.2f — "+
 			"a per-cycle allocation crept back into Core.Step/Hierarchy.Tick",
 			avg, coreStepAllocCeiling)
+	}
+}
+
+// machineBuildAllocCeiling is the committed heap budget, in bytes, for
+// building and releasing one 4-core litmus-sized machine once released
+// cache storage is reused. The residue measures ~135 KB, nearly all of it
+// the cores' pipeline queues and rename register files; the ceiling leaves
+// about twice that. Allocating the Table 2 tag arrays and write buffers
+// afresh costs ~4.6 MB per build, so the gate fails the moment storage
+// reuse breaks.
+const machineBuildAllocCeiling = 256 << 10
+
+// TestMachineBuildAllocCeiling is the allocation gate for machine builds,
+// which dominate litmus and torture sweeps: every schedule and crash point
+// builds a machine and releases it.
+func TestMachineBuildAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	c, err := litmus.Compile(litmus.Generate(litmus.GenOptions{Seed: 1, Count: 1, Cores: 4})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workload.Workload{
+		Profile: workload.Profile{Name: "litmus", DepDistance: 1, Threads: len(c.Progs), SyncContention: 1},
+		Threads: c.Progs,
+	}
+	// The litmus harness's machine: Table 2 caches, short persist latencies.
+	cfg := multicore.DefaultConfig(len(c.Progs), persist.PPADefault())
+	cfg.Hierarchy.PersistTransit = 24
+	cfg.Hierarchy.PersistLag = 60
+	build := func() {
+		sys, err := multicore.NewSystem(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Release()
+	}
+	build() // fill the storage pools
+	const builds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("NewSystem+Release allocates %d bytes per 4-core machine", perBuild)
+	if perBuild > machineBuildAllocCeiling {
+		t.Fatalf("building a machine allocates %d bytes, ceiling %d — "+
+			"released cache storage is no longer reused", perBuild, machineBuildAllocCeiling)
 	}
 }
 

@@ -80,6 +80,7 @@ func runOne(j runJob) (*multicore.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	if err := sys.Run(uint64(j.insts)*4000 + 1_000_000); err != nil {
 		return nil, err
 	}

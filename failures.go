@@ -101,6 +101,7 @@ func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOu
 	if err != nil {
 		return nil, err
 	}
+	defer func() { sys.Release() }()
 
 	var globalCycle uint64
 	maxCycles := uint64(insts)*4000 + 1_000_000
@@ -158,6 +159,7 @@ func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOu
 		// resuming, exactly as the recovery firmware would.
 		sys.Device().ClearCheckpoint()
 
+		sys.Release() // the resumed machine reuses its cache storage
 		resumed, berr := build()
 		if berr != nil {
 			return nil, berr

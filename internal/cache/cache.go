@@ -15,6 +15,8 @@
 package cache
 
 import (
+	"sync"
+
 	"ppa/internal/isa"
 )
 
@@ -23,10 +25,15 @@ import (
 // several times per simulated cycle, and the previous parallel-slice layout
 // (tags/valid/dirty/lru in four separate arrays) cost four cache lines per
 // probe.
+//
+// A way is valid when its gen equals its array's generation, so a power
+// failure invalidates a whole array by bumping one counter instead of
+// clearing megabytes of ways. gen 0 is never a live generation: fresh
+// storage is all-invalid and invalidate() writes it.
 type saWay struct {
 	tag   uint64
 	lru   uint32
-	valid bool
+	gen   uint16
 	dirty bool
 }
 
@@ -35,15 +42,38 @@ type setAssoc struct {
 	ways    int
 	setMask uint64
 	w       []saWay
+	gen     uint16
 	clock   uint32
 
 	Hits   uint64
 	Misses uint64
 }
 
+// waySlab carries released ways through their size's pool, together with
+// the generation they were last valid in: a later owner must start past
+// it or the previous owner's lines would hit.
+type waySlab struct {
+	w   []saWay
+	gen uint16
+}
+
+// wayPools holds released tag-array storage, one *sync.Pool per way count.
+var wayPools sync.Map
+
+// sizedPool returns the pool for storage of n elements, creating it on
+// first use.
+func sizedPool(pools *sync.Map, n int) *sync.Pool {
+	if p, ok := pools.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := pools.LoadOrStore(n, &sync.Pool{})
+	return p.(*sync.Pool)
+}
+
 // newSetAssoc builds a cache with the given total size in bytes and
 // associativity; sets = size / (64 * ways). Size must make sets a power of
-// two, which all Table 2 configurations do.
+// two, which all Table 2 configurations do. Storage comes from a released
+// array of the same size when one is pooled.
 func newSetAssoc(sizeBytes uint64, ways int) *setAssoc {
 	sets := sizeBytes / uint64(isa.LineSize) / uint64(ways)
 	if sets == 0 {
@@ -56,11 +86,37 @@ func newSetAssoc(sizeBytes uint64, ways int) *setAssoc {
 	}
 	sets = p
 	n := int(sets) * ways
-	return &setAssoc{
-		ways:    ways,
-		setMask: sets - 1,
-		w:       make([]saWay, n),
+	c := &setAssoc{ways: ways, setMask: sets - 1}
+	if slab, ok := sizedPool(&wayPools, n).Get().(*waySlab); ok {
+		c.w, c.gen = slab.w, slab.gen
+	} else {
+		c.w = make([]saWay, n)
 	}
+	c.reset()
+	return c
+}
+
+// reset invalidates every way and zeroes the statistics: the array is
+// empty, exactly as built. It clears the ways only when the generation
+// wraps.
+func (c *setAssoc) reset() {
+	if c.gen++; c.gen == 0 {
+		clear(c.w)
+		c.gen = 1
+	}
+	c.clock = 0
+	c.Hits = 0
+	c.Misses = 0
+}
+
+// release hands the storage back to its pool. The statistics stay
+// readable; any further probe panics on the nil ways.
+func (c *setAssoc) release() {
+	if c.w == nil {
+		return
+	}
+	sizedPool(&wayPools, len(c.w)).Put(&waySlab{w: c.w, gen: c.gen})
+	c.w = nil
 }
 
 func (c *setAssoc) setBase(line uint64) int {
@@ -71,8 +127,9 @@ func (c *setAssoc) setBase(line uint64) int {
 // index or -1.
 func (c *setAssoc) lookup(line uint64) int {
 	base := c.setBase(line)
+	gen := c.gen
 	for w := 0; w < c.ways; w++ {
-		if e := &c.w[base+w]; e.valid && e.tag == line {
+		if e := &c.w[base+w]; e.gen == gen && e.tag == line {
 			return base + w
 		}
 	}
@@ -100,10 +157,11 @@ func (c *setAssoc) access(line uint64, write bool) bool {
 func (c *setAssoc) install(line uint64, write bool) (victim uint64, victimDirty, evicted bool) {
 	c.clock++
 	base := c.setBase(line)
+	gen := c.gen
 	// Prefer an invalid way.
 	slot := -1
 	for w := 0; w < c.ways; w++ {
-		if !c.w[base+w].valid {
+		if c.w[base+w].gen != gen {
 			slot = base + w
 			break
 		}
@@ -118,7 +176,7 @@ func (c *setAssoc) install(line uint64, write bool) (victim uint64, victimDirty,
 		}
 		victim, victimDirty, evicted = c.w[slot].tag, c.w[slot].dirty, true
 	}
-	c.w[slot] = saWay{tag: line, lru: c.clock, valid: true, dirty: write}
+	c.w[slot] = saWay{tag: line, lru: c.clock, gen: gen, dirty: write}
 	return victim, victimDirty, evicted
 }
 
@@ -127,7 +185,7 @@ func (c *setAssoc) install(line uint64, write bool) (victim uint64, victimDirty,
 func (c *setAssoc) invalidate(line uint64) (present, dirty bool) {
 	if slot := c.lookup(line); slot >= 0 {
 		e := &c.w[slot]
-		e.valid = false
+		e.gen = 0
 		return true, e.dirty
 	}
 	return false, false
@@ -172,6 +230,13 @@ func newDRAMCache(sizeBytes uint64) *dramCache {
 		p *= 2
 	}
 	return &dramCache{setMask: p - 1, sets: make(map[uint64]dmEntry)}
+}
+
+// reset empties the cache and zeroes the statistics, keeping the map.
+func (d *dramCache) reset() {
+	clear(d.sets)
+	d.Hits = 0
+	d.Misses = 0
 }
 
 func (d *dramCache) setIndex(line uint64) uint64 { return (line / isa.LineSize) & d.setMask }

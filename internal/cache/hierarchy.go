@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"ppa/internal/isa"
 	"ppa/internal/mutation"
@@ -157,11 +158,60 @@ type writeBuffer struct {
 	MaxDepth        int
 }
 
+// wbSlab carries a released write buffer's ring and coalescing index
+// through its capacity's pool.
+type wbSlab struct {
+	buf   []wbEntry
+	index map[uint64]int64
+}
+
+// wbPools holds released write-buffer storage, one *sync.Pool per capacity.
+var wbPools sync.Map
+
+// newWriteBuffer builds an empty buffer, taking its storage from a
+// released buffer of the same capacity when one is pooled.
 func newWriteBuffer(capEntries int, coalesce, multi bool) *writeBuffer {
 	if capEntries <= 0 {
 		capEntries = 1
 	}
-	return &writeBuffer{buf: make([]wbEntry, capEntries), coalesce: coalesce, multi: multi, index: make(map[uint64]int64)}
+	w := &writeBuffer{coalesce: coalesce, multi: multi}
+	if slab, ok := sizedPool(&wbPools, capEntries).Get().(*wbSlab); ok {
+		w.buf, w.index = slab.buf, slab.index
+	} else {
+		w.buf, w.index = make([]wbEntry, capEntries), make(map[uint64]int64)
+	}
+	w.reset()
+	return w
+}
+
+// reset empties the buffer and restarts its ack tokens and statistics.
+func (w *writeBuffer) reset() {
+	w.empty()
+	w.pending = 0
+	w.appended, w.popped = 0, 0
+	w.CoalescedStores, w.EnqueuedLines, w.MaxDepth = 0, 0, 0
+}
+
+// empty drops every queued entry. Their slots are zeroed so every idle slot
+// stays zero, as pop leaves it; add overwrites a slot whole when it opens
+// an entry.
+func (w *writeBuffer) empty() {
+	for i := 0; i < w.n; i++ {
+		w.buf[(w.head+i)%len(w.buf)] = wbEntry{}
+	}
+	clear(w.index)
+	w.head, w.n = 0, 0
+}
+
+// release empties the buffer and hands its storage back to its pool. The
+// statistics stay readable; the buffer must not be used again.
+func (w *writeBuffer) release() {
+	if w.buf == nil {
+		return
+	}
+	w.empty()
+	sizedPool(&wbPools, len(w.buf)).Put(&wbSlab{buf: w.buf, index: w.index})
+	w.buf, w.index = nil, nil
 }
 
 func (w *writeBuffer) full() bool { return w.n >= len(w.buf) }
@@ -442,6 +492,34 @@ func New(p Params, dev *nvm.Device, warmResident, l2Resident func(uint64) bool) 
 		h.wbs[i] = newWriteBuffer(p.WBEntries, p.CoalesceWB, p.Cores > 1)
 	}
 	return h
+}
+
+// tagArrays lists every SRAM tag array of the organization.
+func (h *Hierarchy) tagArrays() []*setAssoc {
+	arrays := append(append([]*setAssoc(nil), h.l1...), h.l2p...)
+	if h.l2 != nil {
+		arrays = append(arrays, h.l2)
+	}
+	if h.l3 != nil {
+		arrays = append(arrays, h.l3)
+	}
+	return arrays
+}
+
+// Release hands the tag arrays and write buffers back to their pools so
+// the next hierarchy of the same shape reuses their storage instead of
+// allocating and zeroing it again. Call it once the machine is finished
+// with: statistics stay readable, but the hierarchy must not be used again
+// (a cache access panics on the released arrays). A hierarchy that is
+// never released is simply collected; the cost is speed, not correctness.
+// Releasing twice is a no-op.
+func (h *Hierarchy) Release() {
+	for _, c := range h.tagArrays() {
+		c.release()
+	}
+	for _, wb := range h.wbs {
+		wb.release()
+	}
 }
 
 // Params returns the hierarchy configuration.
@@ -961,23 +1039,17 @@ func (h *Hierarchy) FlushAllDirty() int {
 // PowerFail models the loss of all volatile state: SRAM caches, the DRAM
 // cache, write buffers, and the memory-controller eviction buffer. The NVM
 // image (including WPQ contents, which are in the ADR domain) survives.
+// Every structure is emptied in place, through the same resets New's
+// constructors end with, so the hierarchy is exactly as New built it.
 func (h *Hierarchy) PowerFail() {
-	for i := range h.l1 {
-		h.l1[i] = newSetAssoc(h.p.L1DSize, h.p.L1DWays)
+	for _, c := range h.tagArrays() {
+		c.reset()
 	}
-	if h.p.UseL3 {
-		for i := range h.l2p {
-			h.l2p[i] = newSetAssoc(h.p.L2PrivSz, h.p.L2Ways)
-		}
-		h.l3 = newSetAssoc(h.p.L2Size, h.p.L2Ways)
-	} else {
-		h.l2 = newSetAssoc(h.p.L2Size, h.p.L2Ways)
+	if h.dramc != nil {
+		h.dramc.reset()
 	}
-	if h.p.Mode == MemoryMode {
-		h.dramc = newDRAMCache(h.p.DRAMCacheSize)
-	}
-	for i := range h.wbs {
-		h.wbs[i] = newWriteBuffer(h.p.WBEntries, h.p.CoalesceWB, h.p.Cores > 1)
+	for _, wb := range h.wbs {
+		wb.reset()
 	}
 	h.evictq.reset()
 	h.dirty.reset()

@@ -425,6 +425,7 @@ func runSchedule(c *Compiled, sched int, opt RunOptions) (*recorder, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	rec := newRecorder(c, sched)
 	rec.dev = sys.Device().Image()
 	if logCarried {

@@ -151,6 +151,7 @@ func (s *SampledSystem) RunWindow() error {
 	if err != nil {
 		return err
 	}
+	defer sys.Release()
 	for i := range s.pos {
 		sys.hier.WarmInstall(i, s.warm[i].Lines())
 	}

@@ -526,6 +526,13 @@ func (s *System) CrashWithOptions(opt CrashOptions) *CrashReport {
 	return rep
 }
 
+// Release hands the machine's cache storage back for reuse by the next
+// machine of the same shape (see cache.Hierarchy.Release). Call it when the
+// machine is finished with — results already collected stay valid, but the
+// machine must not step again. A machine that is never released is simply
+// collected.
+func (s *System) Release() { s.hier.Release() }
+
 // LastCrashFlushBytes returns how many bytes the last Crash had to flush on
 // residual energy (non-zero only for flush-on-failure schemes like eADR).
 func (s *System) LastCrashFlushBytes() int { return s.lastFlush }
@@ -645,6 +652,7 @@ func Run(p workload.Profile, scheme persist.Config, instsPerThread int) (*Result
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	// Generous bound: no sane run needs 4000 cycles per instruction.
 	if err := sys.Run(uint64(instsPerThread)*4000 + 1_000_000); err != nil {
 		return nil, err

@@ -237,6 +237,7 @@ func RestoreWindow(cfg Config, w *workload.Workload, ws *WindowSnapshot) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	for i := range w.Threads {
 		sys.hier.WarmInstall(i, ws.Warm[i])
 	}

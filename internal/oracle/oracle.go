@@ -223,17 +223,13 @@ func (m *Machine) checkCommit(ev *pipeline.CommitEvent) {
 		return
 	}
 	cm := m.cores[ev.Core]
-	fail := func(field string, got, want uint64, coreDelta, oracleDelta string) {
+	if ev.Seq != cm.next || ev.Seq >= cm.prog.Len() {
 		m.div = &Divergence{
 			Core: ev.Core, Cycle: ev.Cycle, Seq: ev.Seq, PC: ev.PC, Op: ev.Op.String(),
-			Field: field, Got: got, Want: want,
-			CoreDelta: coreDelta, OracleDelta: oracleDelta,
+			Field: "seq", Got: uint64(ev.Seq), Want: uint64(cm.next),
+			CoreDelta:   fmt.Sprintf("committed dynamic instruction %d", ev.Seq),
+			OracleDelta: fmt.Sprintf("expected instruction %d of %d", cm.next, cm.prog.Len()),
 		}
-	}
-	if ev.Seq != cm.next || ev.Seq >= cm.prog.Len() {
-		fail("seq", uint64(ev.Seq), uint64(cm.next),
-			fmt.Sprintf("committed dynamic instruction %d", ev.Seq),
-			fmt.Sprintf("expected instruction %d of %d", cm.next, cm.prog.Len()))
 		return
 	}
 	in := &cm.prog.Insts[ev.Seq]
@@ -261,25 +257,33 @@ func (m *Machine) checkCommit(ev *pipeline.CommitEvent) {
 		}
 	}
 
-	coreDelta := describeCommit(ev)
-	oracleDelta := describeGolden(in, wantDst, wantStoreAddr, wantStoreVal, isStore)
+	// Both machines' views are rendered only on a mismatch: formatting
+	// them for every agreeing commit used to dominate checked runs.
+	fail := func(field string, got, want uint64) {
+		m.div = &Divergence{
+			Core: ev.Core, Cycle: ev.Cycle, Seq: ev.Seq, PC: ev.PC, Op: ev.Op.String(),
+			Field: field, Got: got, Want: want,
+			CoreDelta:   describeCommit(ev),
+			OracleDelta: describeGolden(in, wantDst, wantStoreAddr, wantStoreVal, isStore),
+		}
+	}
 	switch {
 	case ev.PC != in.PC:
-		fail("pc", ev.PC, in.PC, coreDelta, oracleDelta)
+		fail("pc", ev.PC, in.PC)
 	case ev.LCPC != in.PC:
-		fail("lcpc", ev.LCPC, in.PC, coreDelta, oracleDelta)
+		fail("lcpc", ev.LCPC, in.PC)
 	case ev.DstValid != in.DefinesReg():
-		fail("dst-valid", boolWord(ev.DstValid), boolWord(in.DefinesReg()), coreDelta, oracleDelta)
+		fail("dst-valid", boolWord(ev.DstValid), boolWord(in.DefinesReg()))
 	case ev.DstValid && ev.DstVal != wantDst:
-		fail("dst-value", ev.DstVal, wantDst, coreDelta, oracleDelta)
+		fail("dst-value", ev.DstVal, wantDst)
 	case ev.DstValid && ev.CRTVal != wantDst:
-		fail("crt-value", ev.CRTVal, wantDst, coreDelta, oracleDelta)
+		fail("crt-value", ev.CRTVal, wantDst)
 	case ev.IsStore != isStore:
-		fail("store-valid", boolWord(ev.IsStore), boolWord(isStore), coreDelta, oracleDelta)
+		fail("store-valid", boolWord(ev.IsStore), boolWord(isStore))
 	case isStore && ev.StoreAddr != wantStoreAddr:
-		fail("store-addr", ev.StoreAddr, wantStoreAddr, coreDelta, oracleDelta)
+		fail("store-addr", ev.StoreAddr, wantStoreAddr)
 	case isStore && ev.StoreVal != wantStoreVal:
-		fail("store-value", ev.StoreVal, wantStoreVal, coreDelta, oracleDelta)
+		fail("store-value", ev.StoreVal, wantStoreVal)
 	}
 	if m.div != nil {
 		return

@@ -2,7 +2,11 @@ package ppa
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
+
+	"ppa/internal/mutation"
+	"ppa/internal/oracle"
 )
 
 // TestLockstepCleanAllWorkloads runs every workload profile under the
@@ -214,5 +218,36 @@ func TestSeededBugRegistry(t *testing.T) {
 			t.Fatalf("duplicate bug id %s", b.ID)
 		}
 		seen[b.ID] = true
+	}
+}
+
+// TestDivergenceReportText pins the divergence report a seeded bug
+// produces, byte for byte. The oracle renders both machines' views only
+// when they disagree; this keeps that text what it was when it was built
+// on every commit. One bug diverges on a store, the other on a register
+// write, so both halves of each view are covered.
+func TestDivergenceReportText(t *testing.T) {
+	cases := []struct {
+		bug  mutation.Mutation
+		want string
+	}{
+		{mutation.PipelineLCPCSkew, "oracle: lockstep divergence: core 0 seq 2 (pc 0x400008, store) field lcpc: " +
+			"core has 0x400004, oracle wants 0x400008 " +
+			"[core: cycle 9, store [0x1000003fd8] <- 0x0, lcpc=0x400004 | oracle: pc 0x400008, store [0x1000003fd8] <- 0x0]"},
+		{mutation.RenameCRTStaleTag, "oracle: lockstep divergence: core 0 seq 1 (pc 0x400004, alu) field crt-value: " +
+			"core has 0x0, oracle wants 0x562 " +
+			"[core: cycle 9, r0 <- 0x562 (CRT reads 0x0), lcpc=0x400004 | oracle: pc 0x400004, r0 <- 0x562]"},
+	}
+	for _, c := range cases {
+		mutation.Enable(c.bug)
+		_, err := Run(RunConfig{App: "mcf", Scheme: SchemePPA, InstsPerThread: 2000, Lockstep: true})
+		mutation.Disable()
+		var de *oracle.DivergenceError
+		if !errors.As(err, &de) {
+			t.Fatalf("%v: want a lockstep divergence, got %v", c.bug, err)
+		}
+		if got := err.Error(); got != c.want {
+			t.Errorf("%v report changed:\n got %s\nwant %s", c.bug, got, c.want)
+		}
 	}
 }

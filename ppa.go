@@ -287,6 +287,7 @@ func Run(rc RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
 		return nil, err
 	}
@@ -343,6 +344,7 @@ func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	out := &FailureOutcome{FailCycle: failCycle}
 	done, err := sys.RunUntil(failCycle)
 	if err != nil {
@@ -471,6 +473,7 @@ func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
 	// program right after its LCPC on a fresh machine state (the caches are
 	// cold, as after a real outage).
 	dev.ClearCheckpoint()
+	sys.Release() // the resumed machine reuses its cache storage
 	resumed, err := resumeAfterFailure(prof, sch, insts, sys, resume, rc.Lockstep)
 	if err != nil {
 		return nil, err
@@ -493,6 +496,7 @@ func resumeAfterFailure(prof workload.Profile, sch persist.Config, insts int,
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
 		return nil, err
 	}

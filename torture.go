@@ -172,6 +172,7 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Release()
 	hub := rc.Obs
 	if hub == nil {
 		hub = DefaultObs
