@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"ppa/internal/multicore"
 )
 
 // JSON machine configuration: every knob of the simulated machine (Table 2
@@ -49,6 +51,6 @@ func DefaultMachineConfigJSON(n int, scheme Scheme) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := defaultMachine(n, sch)
+	cfg := multicore.DefaultConfig(n, sch)
 	return MarshalMachineConfig(&cfg)
 }

@@ -5,7 +5,6 @@ import (
 
 	"ppa/internal/multicore"
 	"ppa/internal/power"
-	"ppa/internal/recovery"
 	"ppa/internal/workload"
 )
 
@@ -38,11 +37,12 @@ type ScheduleOutcome struct {
 	// FailCycles records each failure's global cycle (cumulative across
 	// resumes).
 	FailCycles []uint64
-	// ConsistentAfterEach records the crash-consistency verdict after each
-	// recovery; all must be true for PPA.
+	// ConsistentAfterEach records the verdict after each recovery: no word
+	// lost at the contract points, the recovered register state intact,
+	// and no objection from the oracle when one is attached.
 	ConsistentAfterEach []bool
-	// TotalInconsistencies sums committed-prefix words lost across all
-	// failures (0 for a crash-consistent scheme).
+	// TotalInconsistencies sums the words lost at the contract points
+	// across all failures (0 for a crash-consistent scheme).
 	TotalInconsistencies int
 	// Completed reports whether every thread finished its trace.
 	Completed bool
@@ -54,7 +54,7 @@ type ScheduleOutcome struct {
 }
 
 // Consistent reports whether every recovery satisfied the contract: no
-// per-recovery verdict failed and no committed-prefix word was lost.
+// per-recovery verdict failed and no contract-point word was lost.
 func (o *ScheduleOutcome) Consistent() bool {
 	if o.TotalInconsistencies != 0 {
 		return false
@@ -68,10 +68,11 @@ func (o *ScheduleOutcome) Consistent() bool {
 }
 
 // RunWithFailureSchedule executes a workload under repeated power failures:
-// at each scheduled cycle the machine loses power, JIT-checkpoints,
-// recovers, verifies the crash-consistency contract, and resumes every
-// thread after its LCPC — until the workload completes or the schedule
-// runs out of failures (after which the run completes undisturbed).
+// at each scheduled cycle the machine takes the same outage step as
+// RunWithFailure — JIT checkpoint, recovery under the scheme's contract,
+// verdict, resume at each thread's contract point — until the workload
+// completes or the schedule runs out of failures (after which the run
+// completes undisturbed).
 func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOutcome, error) {
 	prof, sch, insts, err := rc.resolve()
 	if err != nil {
@@ -81,89 +82,44 @@ func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOu
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ScheduleOutcome{}
-	startAt := make([]int, len(w.Threads))
-	var sys *multicore.System
-
-	build := func() (*multicore.System, error) {
-		cfg := multicore.DefaultConfig(len(w.Threads), sch)
-		if rc.Customize != nil {
-			rc.Customize(&cfg)
-		}
-		if sys == nil {
-			return multicore.NewSystem(cfg, w)
-		}
-		return multicore.NewSystemResumed(cfg, w, sys.Device(), startAt)
-	}
-
-	sys, err = build()
+	sys, err := multicore.NewSystem(rc.machine(len(w.Threads), sch), w)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { sys.Release() }()
 
+	out := &ScheduleOutcome{}
 	var globalCycle uint64
-	maxCycles := uint64(insts)*4000 + 1_000_000
 	for round := 0; ; round++ {
 		if round > 10_000 {
 			return nil, fmt.Errorf("ppa: failure schedule did not terminate")
 		}
-		next, ok := schedule.Next(globalCycle)
-		if !ok {
+		var done bool
+		if next, ok := schedule.Next(globalCycle); ok {
+			done, err = sys.RunUntil(next - globalCycle)
+		} else {
 			// No more failures: run to completion.
-			if err := sys.Run(maxCycles); err != nil {
-				return nil, err
-			}
-			out.TotalCycles = globalCycle + sys.Cycle()
-			out.Completed = true
-			return out, nil
+			done, err = true, sys.Run(runBudget(insts))
 		}
-		local := next - globalCycle
-		done, rerr := sys.RunUntil(local)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if done {
-			out.TotalCycles = globalCycle + sys.Cycle()
-			out.Completed = true
-			return out, nil
+		if err != nil {
+			return nil, err
 		}
 		globalCycle += sys.Cycle()
-
-		// Power failure: checkpoint, lose volatile state, then recover from
-		// the NVM checkpoint area — the only state a real outage leaves
-		// behind — validating framing and checksums on the way in.
-		sys.Crash()
-		out.Failures++
-		out.FailCycles = append(out.FailCycles, globalCycle)
-		images, lerr := recovery.LoadImages(sys.Device())
-		if lerr != nil {
-			return nil, lerr
+		if done {
+			out.TotalCycles = globalCycle
+			out.Completed = true
+			return out, nil
 		}
-		consistent := true
-		for _, im := range images {
-			out.CheckpointBytes += len(im.Encode())
-			prog := sys.Cores()[im.CoreID].Program()
-			if _, rerr := recovery.Replay(sys.Device(), im); rerr != nil {
-				return nil, rerr
-			}
-			if n := recovery.CountInconsistencies(sys.Device(), prog, im.Committed); n > 0 {
-				consistent = false
-				out.TotalInconsistencies += n
-			}
-			startAt[im.CoreID] = im.Committed
-		}
-		out.ConsistentAfterEach = append(out.ConsistentAfterEach, consistent)
-		// Recovery complete: invalidate the consumed checkpoint before
-		// resuming, exactly as the recovery firmware would.
-		sys.Device().ClearCheckpoint()
-
-		sys.Release() // the resumed machine reuses its cache storage
-		resumed, berr := build()
-		if berr != nil {
-			return nil, berr
+		fo, resumed, oerr := rc.outage(sys, w, sch)
+		if oerr != nil {
+			return nil, oerr
 		}
 		sys = resumed
+		out.Failures++
+		out.FailCycles = append(out.FailCycles, globalCycle)
+		out.CheckpointBytes += fo.CheckpointBytes
+		out.TotalInconsistencies += fo.Inconsistencies
+		out.ConsistentAfterEach = append(out.ConsistentAfterEach,
+			fo.Consistent && fo.ArchConsistent && fo.OracleViolation == "")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"ppa/internal/isa"
 	"ppa/internal/nvm"
 	"ppa/internal/obs"
+	"ppa/internal/persist"
 	"ppa/internal/pipeline"
 	"ppa/internal/recovery"
 	"ppa/internal/rename"
@@ -163,12 +164,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 	})
 }
 
-// FuzzRecoverTorn: the recovery entry point must hold the torture
-// contract against arbitrary NVM checkpoint contents — truncated,
-// bit-flipped, or wholly attacker-authored regions either fail with a
-// typed detection error or decode to images that are stable under
-// re-encoding and replay without untyped failure. It must never panic and
-// never accept damage silently.
+// FuzzRecoverTorn: the recovery protocol must hold the torture contract
+// against arbitrary NVM checkpoint contents on a 2-core machine —
+// truncated, bit-flipped, or wholly attacker-authored regions either fail
+// with a typed detection error or decode to one image per core, stable
+// under re-encoding, that recovers (fully or cut short by a nested outage)
+// and is judged without untyped failure. Under a checkpoint-replay scheme
+// and a transaction scheme alike, it must never panic and never accept
+// damage silently.
 func FuzzRecoverTorn(f *testing.F) {
 	one := &checkpoint.Image{
 		CoreID:    0,
@@ -194,28 +197,58 @@ func FuzzRecoverTorn(f *testing.F) {
 		m[bit/8] ^= 1 << (bit % 8)
 		f.Add(m)
 	}
+	// CRC-valid areas that do not map onto the two cores: both images claim
+	// core 5, and three images for two cores.
+	dup := *two
+	dup.CoreID = 5
+	f.Add(checkpoint.EncodeAll([]*checkpoint.Image{&dup, &dup}))
+	third := *two
+	third.CoreID = 2
+	f.Add(checkpoint.EncodeAll([]*checkpoint.Image{one, two, &third}))
+
+	// Two short traces based at PC 0x4000, so the seed images' LCPCs fall
+	// inside them.
+	progs := make([]*isa.Program, 2)
+	for c := range progs {
+		progs[c] = &isa.Program{}
+		for i := 0; i < 8; i++ {
+			progs[c].Insts = append(progs[c].Insts, isa.Inst{PC: 0x4000 + 4*uint64(i), Op: isa.OpStore,
+				Src1: isa.Int(1 + i%3), Addr: 0x1000 + 8*uint64(i)})
+		}
+	}
+	var schemes []persist.Scheme
+	for _, s := range []Scheme{SchemePPA, SchemeRedoTxn} {
+		cfg, err := SchemeConfig(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		schemes = append(schemes, persist.SchemeFor(cfg))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		dev := nvm.NewDevice(nvm.DefaultConfig())
-		dev.WriteCheckpoint(b)
-		images, err := recovery.LoadImages(dev)
-		if err != nil {
-			if !recovery.IsDetection(err) {
-				t.Fatalf("untyped recovery error: %v", err)
-			}
-			return
-		}
-		// Accepted regions must behave: stable under re-encode and
-		// replayable (or refused with a typed error) per image.
-		again, err := checkpoint.DecodeAll(checkpoint.EncodeAll(images))
-		if err != nil {
-			t.Fatalf("re-decode of accepted region failed: %v", err)
-		}
-		if !reflect.DeepEqual(images, again) {
-			t.Fatal("accepted region drifted across a re-encode round trip")
-		}
-		for _, im := range images {
-			if _, rerr := recovery.ReplayN(dev, im, -1); rerr != nil && !recovery.IsDetection(rerr) {
-				t.Fatalf("untyped replay error: %v", rerr)
+		for _, scheme := range schemes {
+			for _, cut := range []*recovery.Cut{{Param: uint64(len(b))}, nil} {
+				dev := nvm.NewDevice(nvm.DefaultConfig())
+				dev.WriteCheckpoint(b)
+				rec, err := recovery.Run(dev, scheme, progs, nil, 0, cut)
+				if err != nil {
+					if !recovery.IsDetection(err) {
+						t.Fatalf("%v: untyped recovery error: %v", scheme.Kind(), err)
+					}
+					continue
+				}
+				if len(rec.Images) != len(progs) {
+					t.Fatalf("%v: accepted %d images for %d cores", scheme.Kind(), len(rec.Images), len(progs))
+				}
+				again, err := checkpoint.DecodeAll(checkpoint.EncodeAll(rec.Images))
+				if err != nil {
+					t.Fatalf("re-decode of accepted region failed: %v", err)
+				}
+				if !reflect.DeepEqual(rec.Images, again) {
+					t.Fatal("accepted region drifted across a re-encode round trip")
+				}
+				if cut == nil {
+					recovery.Judge(dev, progs, rec, nil)
+				}
 			}
 		}
 	})

@@ -105,14 +105,13 @@ type Scheme interface {
 	// durable image's only write path during a run — the precondition for
 	// the oracle's end-of-run image cross-check.
 	ImageFromAcceptStream() bool
-	// ReplaysCheckpoint reports whether recovery replays the JIT
-	// checkpoint's CSQ into the image. Transaction schemes must not: the
-	// checkpointed CSQ holds gated stores of an uncommitted region.
-	ReplaysCheckpoint() bool
 	// VerifiesArchState reports whether recovered committed register state
 	// can be checked against the golden model (PPA's PRF-indexed CSQ).
 	VerifiesArchState() bool
-	// Contract names the scheme's post-crash guarantee.
+	// Contract names the scheme's post-crash guarantee; the recovery
+	// protocol dispatches on it. Transaction schemes recover from their
+	// own log, never by replaying the checkpointed CSQ, which holds gated
+	// stores of an uncommitted region.
 	Contract() RecoveryContract
 	// Recover reconstructs the durable image from the scheme's own durable
 	// state (the persist logs) and returns each core's recovery point in
@@ -134,7 +133,6 @@ func (b base) FlushOnFailure() bool                          { return false }
 func (b base) ImageFromAcceptStream() bool {
 	return b.cfg.AsyncPersist && !b.cfg.UseRedoPath
 }
-func (b base) ReplaysCheckpoint() bool { return false }
 func (b base) VerifiesArchState() bool { return false }
 func (b base) Contract() RecoveryContract {
 	return RecoverNone
@@ -157,13 +155,11 @@ type replayCacheScheme struct{ base }
 
 type ppaScheme struct{ base }
 
-func (ppaScheme) ReplaysCheckpoint() bool    { return true }
 func (p ppaScheme) VerifiesArchState() bool  { return !p.cfg.ValueCSQ }
 func (ppaScheme) Contract() RecoveryContract { return RecoverCommittedPrefix }
 
 type sbGateScheme struct{ base }
 
-func (sbGateScheme) ReplaysCheckpoint() bool    { return true }
 func (sbGateScheme) Contract() RecoveryContract { return RecoverCommittedPrefix }
 
 type capriScheme struct{ base }

@@ -2,10 +2,12 @@
 // (Section 4.6): restore the checkpointed structures from NVM, replay the
 // committed stores recorded in each core's CSQ (front to rear; stores are
 // idempotent, so double-persisting is harmless), rebuild the RAT from the
-// restored CRT, and resume each program right after its LCPC. The package
-// also provides the crash-consistency verifier used by tests and examples:
-// after recovery, NVM must hold the program-order value of every address
-// stored by the committed prefix.
+// restored CRT, and resume each program right after its LCPC. Run is that
+// protocol for a whole machine, dispatching on the scheme's recovery
+// contract (the log-based transaction schemes recover from their own
+// durable log instead of the CSQ), and Judge is the one crash-consistency
+// verdict: after recovery, NVM must hold the program-order value of every
+// address stored up to each core's contract point.
 package recovery
 
 import (
@@ -14,7 +16,6 @@ import (
 	"ppa/internal/checkpoint"
 	"ppa/internal/isa"
 	"ppa/internal/nvm"
-	"ppa/internal/obs"
 	"ppa/internal/rename"
 )
 
@@ -89,13 +90,21 @@ func Recover(dev *nvm.Device, im *checkpoint.Image, prog *isa.Program) (*Outcome
 	}
 	idx, err := ResumeIndex(prog, im.LCPC)
 	if err != nil {
-		return nil, err
+		// An LCPC outside the program is implausible checkpoint content.
+		return nil, fmt.Errorf("%w: %v", ErrTornCheckpoint, err)
 	}
 	out.ResumeIndex = idx
-	if idx > 0 && idx <= prog.Len() {
-		out.ResumePC = prog.Insts[idx-1].PC + 4
-	}
+	out.ResumePC = resumePC(prog, idx)
 	return out, nil
+}
+
+// resumePC is the PC of the instruction at dynamic index idx, the one after
+// the last committed (0 when nothing committed or idx is past the end).
+func resumePC(prog *isa.Program, idx int) uint64 {
+	if idx > 0 && idx <= prog.Len() {
+		return prog.Insts[idx-1].PC + 4
+	}
+	return 0
 }
 
 // ValidateImage applies recovery's typed error taxonomy to an image without
@@ -109,29 +118,6 @@ func ValidateImage(im *checkpoint.Image) error {
 		return classify(err)
 	}
 	return nil
-}
-
-// RecoverObserved runs Recover and traces its phases on the hub: one
-// "recovery-replay" instant per core with the replayed word count and
-// resume index, stamped at atCycle (the crash cycle — recovery happens
-// while the machine clock is stopped). A nil hub just runs Recover.
-func RecoverObserved(dev *nvm.Device, im *checkpoint.Image, prog *isa.Program, hub *obs.Hub, atCycle uint64) (*Outcome, error) {
-	out, err := Recover(dev, im, prog)
-	if err != nil {
-		return nil, err
-	}
-	hub.Tracer().Emit(obs.Event{
-		Cycle: atCycle,
-		Type:  obs.EvInstant,
-		Core:  im.CoreID,
-		Name:  "recovery-replay",
-		Cat:   "checkpoint",
-		Args: [obs.MaxEventArgs]obs.Arg{
-			{Key: "resume", Val: int64(out.ResumeIndex)},
-			{Key: "words", Val: int64(out.ReplayedWords)},
-		},
-	})
-	return out, nil
 }
 
 // VerifyConsistency checks the crash-consistency contract for one thread:

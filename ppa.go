@@ -247,10 +247,34 @@ func Apps() []string {
 	return out
 }
 
-// defaultMachine assembles the Table 2 machine configuration.
-func defaultMachine(n int, sch persist.Config) multicore.Config {
-	return multicore.DefaultConfig(n, sch)
+// hub is the observability hub rc's machines attach: rc.Obs, else
+// DefaultObs.
+func (rc RunConfig) hub() *obs.Hub {
+	if rc.Obs != nil {
+		return rc.Obs
+	}
+	return DefaultObs
 }
+
+// machine assembles the configuration of every machine built from rc — a
+// fresh run, each machine resumed after an outage, a sampled run, and the
+// renamer that recovered register state is checked on: the Table 2 machine
+// for n cores under sch, with rc's instrumentation attached and
+// rc.Customize applied last.
+func (rc RunConfig) machine(n int, sch persist.Config) multicore.Config {
+	cfg := multicore.DefaultConfig(n, sch)
+	cfg.Pipeline.SampleFreeRegs = rc.SampleFreeRegs
+	cfg.Lockstep = rc.Lockstep
+	cfg.Obs = rc.hub()
+	if rc.Customize != nil {
+		rc.Customize(&cfg)
+	}
+	return cfg
+}
+
+// runBudget bounds a run's cycles: far beyond any workload's completion,
+// so hitting it means the machine deadlocked.
+func runBudget(insts int) uint64 { return uint64(insts)*4000 + 1_000_000 }
 
 // NewSystem assembles (but does not run) the simulated machine for a
 // configuration, for callers that need fine-grained control (crash
@@ -264,17 +288,7 @@ func NewSystem(rc RunConfig) (*multicore.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := multicore.DefaultConfig(len(w.Threads), sch)
-	cfg.Pipeline.SampleFreeRegs = rc.SampleFreeRegs
-	cfg.Lockstep = rc.Lockstep
-	cfg.Obs = rc.Obs
-	if cfg.Obs == nil {
-		cfg.Obs = DefaultObs
-	}
-	if rc.Customize != nil {
-		rc.Customize(&cfg)
-	}
-	return multicore.NewSystem(cfg, w)
+	return multicore.NewSystem(rc.machine(len(w.Threads), sch), w)
 }
 
 // Run executes one simulation to completion.
@@ -288,7 +302,7 @@ func Run(rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 	defer sys.Release()
-	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
+	if err := sys.Run(runBudget(insts)); err != nil {
 		return nil, err
 	}
 	return sys.Collect(), nil
@@ -303,16 +317,17 @@ type FailureOutcome struct {
 	CompletedBeforeFailure bool
 	// PerCore holds each core's recovery outcome.
 	PerCore []*recovery.Outcome
-	// Consistent reports whether, after recovery, NVM held the committed
-	// prefix of every thread (the crash-consistency contract).
+	// Consistent reports whether, after recovery, NVM held every thread's
+	// prefix up to its contract point: the committed prefix, or the last
+	// region-commit marker for transaction schemes.
 	Consistent bool
 	// ArchConsistent reports whether the recovered committed register
 	// state (CRT + checkpointed physical registers) matched the golden
 	// in-order state for every core. Only meaningful for schemes that
 	// checkpoint the CRT (PPA); true otherwise.
 	ArchConsistent bool
-	// Inconsistencies counts committed-prefix words whose NVM value was
-	// wrong after recovery (0 when Consistent).
+	// Inconsistencies counts contract-point prefix words whose NVM value
+	// was wrong after recovery (0 when Consistent).
 	Inconsistencies int
 	// CheckpointBytes is the total encoded checkpoint size across cores.
 	CheckpointBytes int
@@ -340,167 +355,86 @@ func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystem(rc)
+	w, err := workload.New(prof, insts)
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Release()
-	out := &FailureOutcome{FailCycle: failCycle}
+	sys, err := multicore.NewSystem(rc.machine(len(w.Threads), sch), w)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { sys.Release() }()
 	done, err := sys.RunUntil(failCycle)
 	if err != nil {
 		return nil, err
 	}
 	if done {
-		out.CompletedBeforeFailure = true
-		out.Consistent = true
-		return out, nil
+		return &FailureOutcome{FailCycle: failCycle, CompletedBeforeFailure: true, Consistent: true}, nil
 	}
-
-	// Power failure: checkpoint and lose all volatile state. Recovery reads
-	// the images back from the NVM checkpoint area — the only state that
-	// actually survives an outage — validating framing and checksums on the
-	// way in.
-	sys.Crash()
-	out.FlushedBytes = sys.LastCrashFlushBytes()
-	dev := sys.Device()
-	images, err := recovery.LoadImages(dev)
+	out, resumed, err := rc.outage(sys, w, sch)
 	if err != nil {
 		return nil, err
 	}
-	for _, im := range images {
+	out.FailCycle = failCycle
+	sys = resumed
+	if err := sys.Run(runBudget(insts)); err != nil {
+		return nil, err
+	}
+	out.ResumedResult = sys.Collect()
+	return out, nil
+}
+
+// outage is one power failure of sys, as every failure harness models it.
+// Power is cut and the JIT dump captured; recovery then reads the images
+// back from the NVM checkpoint area — the only state a real outage leaves
+// behind — and runs the protocol under the scheme's contract. The verdict
+// follows: words lost at the contract points, the oracle's opinion when one
+// is attached, and, for schemes that checkpoint the CRT, the recovered
+// committed register state against the golden in-order state. Finally the
+// consumed checkpoint is invalidated, so a later outage cannot be confused
+// with this one, and sys is released and replaced by rc's machine resumed
+// around the surviving device, every thread at its contract point with cold
+// caches, as after a real outage. ResumedResult is left to the caller.
+func (rc RunConfig) outage(sys *multicore.System, w *workload.Workload, sch persist.Config) (*FailureOutcome, *multicore.System, error) {
+	cfg := rc.machine(len(w.Threads), sch)
+	out := &FailureOutcome{}
+	sys.Crash()
+	out.FlushedBytes = sys.LastCrashFlushBytes()
+	dev := sys.Device()
+	rec, err := recovery.Run(dev, sys.Scheme(), w.Threads, rc.hub(), sys.Cycle(), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.PerCore = rec.PerCore
+	for _, im := range rec.Images {
 		out.CheckpointBytes += len(im.Encode())
 	}
-
-	// Recovery dispatches on the scheme's contract. Checkpoint-replay
-	// schemes replay each core's CSQ from the JIT dump; transaction schemes
-	// validate the dump (a torn checkpoint must still surface as a
-	// detection) but reconstruct the image from their own durable log,
-	// rolling back or replaying to each core's last region-commit marker.
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
+	v := recovery.Judge(dev, w.Threads, rec, sys.Oracle())
+	out.Inconsistencies = v.Lost
+	out.Consistent = v.Lost == 0
+	out.OracleChecked = v.OracleChecked
+	if v.Oracle != nil {
+		out.OracleViolation = v.Oracle.Error()
 	}
-	scheme := persist.SchemeFor(sch)
-	contract := scheme.Contract()
-	committed := make([]int, len(images))
-	for i, im := range images {
-		committed[i] = im.Committed
-	}
-	// resume is where each core restarts: the committed prefix for
-	// checkpoint-replay schemes, the last marker for transaction schemes.
-	resume := committed
-	if contract == persist.RecoverTxnBoundary {
-		for _, im := range images {
-			if verr := recovery.ValidateImage(im); verr != nil {
-				return nil, verr
-			}
-		}
-		points, rerr := scheme.Recover(dev, len(images))
-		if rerr != nil {
-			return nil, rerr
-		}
-		resume = points
-		for i, im := range images {
-			prog := sys.Cores()[i].Program()
-			o := &recovery.Outcome{CoreID: im.CoreID, ResumeIndex: points[i]}
-			if points[i] > 0 && points[i] <= prog.Len() {
-				o.ResumePC = prog.Insts[points[i]-1].PC + 4
-			}
-			out.PerCore = append(out.PerCore, o)
-		}
-	} else {
-		for i, im := range images {
-			prog := sys.Cores()[i].Program()
-			o, rerr := recovery.RecoverObserved(dev, im, prog, hub, sys.Cycle())
-			if rerr != nil {
-				return nil, rerr
-			}
-			out.PerCore = append(out.PerCore, o)
-		}
-	}
-	out.Consistent = true
 	out.ArchConsistent = true
-	for i := range images {
-		prog := sys.Cores()[i].Program()
-		if n := recovery.CountInconsistencies(dev, prog, resume[i]); n > 0 {
-			out.Consistent = false
-			out.Inconsistencies += n
-		}
-	}
-
-	// For schemes that checkpoint the CRT (PPA with an index CSQ), the
-	// recovered committed register state must equal the golden in-order
-	// state too.
-	if scheme.VerifiesArchState() {
-		mc := multicore.DefaultConfig(len(images), sch)
-		if rc.Customize != nil {
-			rc.Customize(&mc)
-		}
-		for i, im := range images {
-			ren, rerr := recovery.RestoreRenamer(mc.Pipeline.Rename, im)
-			if rerr != nil {
-				return nil, rerr
+	if sys.Scheme().VerifiesArchState() {
+		for i, im := range rec.Images {
+			ren, err := recovery.RestoreRenamer(cfg.Pipeline.Rename, im)
+			if err != nil {
+				return nil, nil, err
 			}
-			if verr := recovery.VerifyArchState(ren, sys.Cores()[i].Program(), committed[i]); verr != nil {
+			if recovery.VerifyArchState(ren, w.Threads[i], im.Committed) != nil {
 				out.ArchConsistent = false
 			}
 		}
 	}
-
-	// The oracle's second opinion on recovery: for committed-prefix schemes
-	// the recovered NVM image must equal the golden model's memory at each
-	// core's committed prefix; for transaction schemes, at each core's own
-	// recovery point. Schemes with no contract (baseline, DRAM-only,
-	// ReplayCache) are run to measure how badly they miss it, so the oracle
-	// does not judge them.
-	if m := sys.Oracle(); m != nil {
-		switch contract {
-		case persist.RecoverCommittedPrefix:
-			out.OracleChecked = true
-			if oerr := m.CheckRecovered(dev.Image(), committed); oerr != nil {
-				out.OracleViolation = oerr.Error()
-			}
-		case persist.RecoverTxnBoundary:
-			out.OracleChecked = true
-			if oerr := m.CheckRecoveredAt(dev.Image(), resume); oerr != nil {
-				out.OracleViolation = oerr.Error()
-			}
-		}
-	}
-
-	// Recovery is complete: invalidate the checkpoint area so a later
-	// outage cannot be confused with this one, then resume each interrupted
-	// program right after its LCPC on a fresh machine state (the caches are
-	// cold, as after a real outage).
 	dev.ClearCheckpoint()
 	sys.Release() // the resumed machine reuses its cache storage
-	resumed, err := resumeAfterFailure(prof, sch, insts, sys, resume, rc.Lockstep)
+	resumed, err := multicore.NewSystemResumed(cfg, w, dev, rec.Points)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.ResumedResult = resumed
-	return out, nil
-}
-
-// resumeAfterFailure rebuilds the machine around the surviving NVM device
-// and continues every thread from its committed prefix.
-func resumeAfterFailure(prof workload.Profile, sch persist.Config, insts int,
-	crashed *multicore.System, committed []int, lockstep bool) (*Result, error) {
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multicore.DefaultConfig(len(w.Threads), sch)
-	cfg.Lockstep = lockstep
-	sys, err := multicore.NewSystemResumed(cfg, w, crashed.Device(), committed)
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Release()
-	if err := sys.Run(uint64(insts)*4000 + 1_000_000); err != nil {
-		return nil, err
-	}
-	return sys.Collect(), nil
+	return out, resumed, nil
 }
 
 // CheckpointImage captures a live core's JIT-checkpoint image (exposed for

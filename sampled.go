@@ -20,7 +20,7 @@ type SampleConfig = multicore.SampleConfig
 type SampledResult = multicore.SampledResult
 
 // assembleSampled resolves a RunConfig into the machine configuration and
-// workload a sampled run needs, mirroring NewSystem's assembly.
+// workload a sampled run needs.
 func assembleSampled(rc RunConfig) (multicore.Config, *workload.Workload, error) {
 	prof, sch, insts, err := rc.resolve()
 	if err != nil {
@@ -30,17 +30,7 @@ func assembleSampled(rc RunConfig) (multicore.Config, *workload.Workload, error)
 	if err != nil {
 		return multicore.Config{}, nil, err
 	}
-	cfg := defaultMachine(len(w.Threads), sch)
-	cfg.Pipeline.SampleFreeRegs = rc.SampleFreeRegs
-	cfg.Lockstep = rc.Lockstep
-	cfg.Obs = rc.Obs
-	if cfg.Obs == nil {
-		cfg.Obs = DefaultObs
-	}
-	if rc.Customize != nil {
-		rc.Customize(&cfg)
-	}
-	return cfg, w, nil
+	return rc.machine(len(w.Threads), sch), w, nil
 }
 
 // RunSampled executes one simulation in sampled mode: detailed out-of-order

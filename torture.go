@@ -10,10 +10,10 @@ import (
 	"ppa/internal/checkpoint"
 	"ppa/internal/fault"
 	"ppa/internal/forensics"
+	"ppa/internal/isa"
 	"ppa/internal/multicore"
 	"ppa/internal/obs"
 	"ppa/internal/oracle"
-	"ppa/internal/persist"
 	"ppa/internal/recovery"
 	"ppa/internal/sweep"
 )
@@ -159,24 +159,12 @@ func tornEnergyUJ(param uint64, fullBytes int) float64 {
 // bugs) surface as the error; contract breaches surface in
 // Outcome.Violation.
 func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
-	_, sch, _, err := rc.resolve()
-	if err != nil {
-		return nil, err
-	}
-	scheme := persist.SchemeFor(sch)
-	// Transaction schemes recover from their own durable log, not the
-	// checkpointed CSQ, and their contract point is the last region-commit
-	// marker rather than the committed prefix.
-	txn := scheme.Contract() == persist.RecoverTxnBoundary
 	sys, err := NewSystem(rc)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Release()
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
-	}
+	hub := rc.hub()
 	inj := fault.NewInjector(hub)
 	out := &TortureOutcome{Point: p}
 
@@ -254,18 +242,18 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 		}
 	}
 
-	// Recovery, re-entered from the top after each nested outage. The
-	// protocol must converge: either a completed recovery or a typed
-	// refusal of a damaged checkpoint.
+	// Recovery, re-entered from the top after each nested outage, which
+	// cuts a pass short. The protocol must converge: either a completed
+	// recovery or a typed refusal of a damaged checkpoint.
 	nestedLeft := 0
 	if p.Fault.Kind == fault.NestedOutage {
-		nestedLeft = p.Depth
-		if nestedLeft <= 0 {
-			nestedLeft = 1
-		}
+		nestedLeft = max(p.Depth, 1)
 	}
-	var images []*checkpoint.Image
-	var points []int
+	progs := make([]*isa.Program, len(sys.Cores()))
+	for i, c := range sys.Cores() {
+		progs[i] = c.Program()
+	}
+	var rec *recovery.Result
 	for {
 		out.RecoveryAttempts++
 		if out.RecoveryAttempts > nestedLeft+4 {
@@ -273,78 +261,26 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 			capture(forensics.KindTortureViolation, nil)
 			return out, nil
 		}
-		var lerr error
-		images, lerr = recovery.LoadImages(dev)
-		if lerr != nil {
-			out.Detected = true
-			out.DetectedAs = lerr.Error()
-			if !recoveryErrTyped(lerr) {
-				out.Violation = fmt.Sprintf("untyped recovery error: %v", lerr)
-			}
-			break
-		}
+		var cut *recovery.Cut
 		if nestedLeft > 0 {
-			nestedLeft--
-			out.Injected = true
-			inj.Injected(p.Fault, p.Cycle)
-			if txn {
-				// Power fails again mid-recovery: log recovery is idempotent
-				// (truncate then roll back or replay), so the interrupted pass
-				// leaves a log the re-entered protocol handles from the top.
-				if _, rerr := scheme.Recover(dev, len(sys.Cores())); rerr != nil {
-					out.Detected = true
-					out.DetectedAs = rerr.Error()
-				}
-			} else {
-				// Power fails again mid-replay: apply only the first Param
-				// entries of each CSQ, then lose the machine and re-enter.
-				for _, im := range images {
-					n := 0
-					if len(im.CSQ) > 0 {
-						n = int(p.Fault.Param % uint64(len(im.CSQ)+1))
-					}
-					if _, rerr := recovery.ReplayN(dev, im, n); rerr != nil {
-						out.Detected = true
-						out.DetectedAs = rerr.Error()
-						break
-					}
-				}
-			}
-			if out.Detected {
-				break
-			}
-			continue
+			cut = &recovery.Cut{Param: p.Fault.Param}
 		}
-		var rerr error
-		if txn {
-			// Validate the JIT dump (damage must surface as a detection) but
-			// reconstruct the image from the scheme's own durable log.
-			for _, im := range images {
-				if rerr = recovery.ValidateImage(im); rerr != nil {
-					break
-				}
-			}
-			if rerr == nil {
-				points, rerr = scheme.Recover(dev, len(sys.Cores()))
-			}
-		} else {
-			for _, im := range images {
-				prog := sys.Cores()[im.CoreID].Program()
-				if _, rerr = recovery.Recover(dev, im, prog); rerr != nil {
-					break
-				}
-			}
-		}
-		if rerr != nil {
+		rec, err = recovery.Run(dev, sys.Scheme(), progs, hub, sys.Cycle(), cut)
+		if err != nil {
 			out.Detected = true
-			out.DetectedAs = rerr.Error()
-			if !recoveryErrTyped(rerr) {
-				out.Violation = fmt.Sprintf("untyped recovery error: %v", rerr)
+			out.DetectedAs = err.Error()
+			if !recovery.IsDetection(err) {
+				out.Violation = fmt.Sprintf("untyped recovery error: %v", err)
 			}
 			break
 		}
-		out.Recovered = true
-		break
+		if cut == nil {
+			out.Recovered = true
+			break
+		}
+		nestedLeft--
+		out.Injected = true
+		inj.Injected(p.Fault, p.Cycle)
 	}
 
 	if out.Detected {
@@ -359,42 +295,21 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 	case out.Recovered && out.Injected && p.Fault.Corrupting():
 		out.Violation = "silently recovered a corrupt checkpoint"
 	case out.Recovered:
-		// Verify the recovery contract for every core: NVM must hold the
-		// golden state at the committed prefix (checkpoint-replay schemes)
-		// or at the last region-commit marker (transaction schemes).
-		checkAt := make([]int, len(sys.Cores()))
-		for _, im := range images {
-			checkAt[im.CoreID] = im.Committed
-		}
-		if txn && points != nil {
-			checkAt = points
-		}
-		for id, at := range checkAt {
-			prog := sys.Cores()[id].Program()
-			out.Inconsistencies += recovery.CountInconsistencies(dev, prog, at)
-		}
-		if out.Inconsistencies > 0 {
-			out.Violation = fmt.Sprintf("committed-prefix violation: %d words lost", out.Inconsistencies)
+		// The recovery contract for every core, and the oracle's
+		// independent verdict on the same image.
+		v := recovery.Judge(dev, progs, rec, sys.Oracle())
+		out.Inconsistencies = v.Lost
+		if v.Lost > 0 {
+			out.Violation = fmt.Sprintf("committed-prefix violation: %d words lost", v.Lost)
 			break
 		}
-		// The oracle's independent verdict on the same recovery: the NVM
-		// image must equal the golden model's memory at each core's contract
-		// point, and the recovery points must be prefixes the oracle checked.
-		if m := sys.Oracle(); m != nil {
-			var oerr error
-			if txn {
-				oerr = m.CheckRecoveredAt(dev.Image(), checkAt)
-			} else {
-				oerr = m.CheckRecovered(dev.Image(), checkAt)
+		if v.Oracle != nil {
+			out.Violation = v.Oracle.Error()
+			var de *oracle.DivergenceError
+			if errors.As(v.Oracle, &de) {
+				recoveryDiv, _ = json.Marshal(de.Report)
 			}
-			if oerr != nil {
-				out.Violation = oerr.Error()
-				var de *oracle.DivergenceError
-				if errors.As(oerr, &de) {
-					recoveryDiv, _ = json.Marshal(de.Report)
-				}
-				break
-			}
+			break
 		}
 		dev.ClearCheckpoint()
 	}
@@ -402,20 +317,11 @@ func RunTorturePoint(rc RunConfig, p TorturePoint) (*TortureOutcome, error) {
 	return out, nil
 }
 
-// recoveryErrTyped reports whether err belongs to recovery's typed
-// detection taxonomy.
-func recoveryErrTyped(err error) bool {
-	return recovery.IsDetection(err)
-}
-
 // RunTorture sweeps every point on fresh machines, invoking onPoint (if
 // non-nil) after each verdict, and aggregates the report. Counters
 // "torture.points" and "torture.violations" accumulate on the run's hub.
 func RunTorture(rc RunConfig, points []TorturePoint, onPoint func(*TortureOutcome)) (*TortureReport, error) {
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
-	}
+	hub := rc.hub()
 	rep := &TortureReport{ByKind: make(map[string]int)}
 	for _, p := range points {
 		out, err := RunTorturePoint(rc, p)
@@ -446,10 +352,7 @@ func RunTortureParallel(ctx context.Context, rc RunConfig, points []TorturePoint
 	if workers <= 1 || len(points) <= 1 {
 		return RunTorture(rc, points, onPoint)
 	}
-	hub := rc.Obs
-	if hub == nil {
-		hub = DefaultObs
-	}
+	hub := rc.hub()
 	whs := make([]*obs.Hub, workers)
 	hubs := make(chan *obs.Hub, workers)
 	for i := range whs {
