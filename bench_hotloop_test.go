@@ -10,6 +10,7 @@ package ppa
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ppa/internal/litmus"
@@ -118,6 +119,11 @@ func TestMachineBuildAllocCeiling(t *testing.T) {
 		}
 		sys.Release()
 	}
+	// Same measuring conditions as TestTorturePointAllocCeiling: no
+	// collection to empty the pools, one P so no storage is stranded in
+	// another P's private pool slot.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	build() // fill the storage pools
 	const builds = 20
 	var before, after runtime.MemStats
@@ -131,6 +137,51 @@ func TestMachineBuildAllocCeiling(t *testing.T) {
 	if perBuild > machineBuildAllocCeiling {
 		t.Fatalf("building a machine allocates %d bytes, ceiling %d — "+
 			"released cache storage is no longer reused", perBuild, machineBuildAllocCeiling)
+	}
+}
+
+// torturePointAllocCeiling is the committed heap budget, in bytes, for one
+// oracle-checked torture point on mcf at 2000 instructions once the
+// workload trace is shared: ~142–170 KB under ppa, undolog, redotxn and
+// htpm. Regenerating the ~70 KB trace per point costs 213–241 KB, so the
+// gate fails the moment a point generates its own trace again.
+const torturePointAllocCeiling = 200 << 10
+
+// TestTorturePointAllocCeiling is the allocation gate for crash sweeps:
+// every point of a sweep runs the same configuration, so after one warm
+// point neither the trace nor the cache storage should be allocated again.
+// The collector is off while it measures: a collection empties the pools
+// of released cache storage, and the next point would pay for refilling
+// them at a moment that depends on GC timing, not on the code. It also
+// runs on one P, as testing.AllocsPerRun does: a sync.Pool's per-P private
+// slot cannot be taken from another P, so with several Ps a point misses
+// storage released on a different one at a rate set by the scheduler.
+func TestTorturePointAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs without -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	points := TorturePoints(3, 40, 500, 12_000)
+	for _, s := range []Scheme{SchemePPA, SchemeUndoLog, SchemeRedoTxn, SchemeHTPM} {
+		rc := RunConfig{App: "mcf", Scheme: s, InstsPerThread: 2000, Lockstep: true}
+		if _, err := RunTorturePoint(rc, points[0]); err != nil { // warm
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, p := range points {
+			if _, err := RunTorturePoint(rc, p); err != nil {
+				t.Fatalf("%s %v: %v", s, p, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perPoint := (after.TotalAlloc - before.TotalAlloc) / uint64(len(points))
+		t.Logf("%s: RunTorturePoint allocates %d bytes per point", s, perPoint)
+		if perPoint > torturePointAllocCeiling {
+			t.Errorf("%s: a torture point allocates %d bytes, ceiling %d — "+
+				"the sweep no longer shares its workload trace", s, perPoint, torturePointAllocCeiling)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"ppa"
@@ -138,8 +139,13 @@ func coordinate(args []string) error {
 	log.Printf("%d points: %d injected, %d detected, %d recovered, %d completed-before-failure, %d violations",
 		rep.Points, rep.Injected, rep.Detected, rep.Recovered,
 		rep.CompletedBeforeFailure, len(rep.Violations))
-	for kind, n := range rep.ByKind {
-		log.Printf("  %-16s %d points", kind, n)
+	kinds := make([]string, 0, len(rep.ByKind))
+	for kind := range rep.ByKind {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		log.Printf("  %-16s %d points", kind, rep.ByKind[kind])
 	}
 
 	if *outPath != "" {

@@ -22,6 +22,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"sort"
 	"time"
 
 	"ppa"
@@ -181,8 +182,13 @@ func main() {
 	log.Printf("%d points: %d injected, %d detected, %d recovered, %d completed-before-failure, %d violations",
 		rep.Points, rep.Injected, rep.Detected, rep.Recovered,
 		rep.CompletedBeforeFailure, len(rep.Violations))
-	for kind, n := range rep.ByKind {
-		log.Printf("  %-16s %d points", kind, n)
+	kinds := make([]string, 0, len(rep.ByKind))
+	for kind := range rep.ByKind {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		log.Printf("  %-16s %d points", kind, rep.ByKind[kind])
 	}
 	if files := recorder.Files(); len(files) > 0 {
 		log.Printf("%d forensic bundle(s) in %s (inspect with: ppareport forensics <file>)",

@@ -5,7 +5,6 @@ import (
 
 	"ppa/internal/multicore"
 	"ppa/internal/power"
-	"ppa/internal/workload"
 )
 
 // This file implements repeated-failure orchestration: energy-harvesting
@@ -74,11 +73,7 @@ func (o *ScheduleOutcome) Consistent() bool {
 // completes or the schedule runs out of failures (after which the run
 // completes undisturbed).
 func RunWithFailureSchedule(rc RunConfig, schedule FailureSchedule) (*ScheduleOutcome, error) {
-	prof, sch, insts, err := rc.resolve()
-	if err != nil {
-		return nil, err
-	}
-	w, err := workload.New(prof, insts)
+	w, sch, insts, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}

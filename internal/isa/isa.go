@@ -196,6 +196,8 @@ func (in *Inst) String() string {
 }
 
 // Program is a finite dynamic instruction trace for one hardware thread.
+// A program handed to a machine is read-only: generated traces are shared
+// between machines, so the simulator never writes to Insts.
 type Program struct {
 	// Name identifies the workload that generated the trace.
 	Name string

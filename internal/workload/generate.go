@@ -8,7 +8,10 @@ import (
 )
 
 // Workload is a generated multi-threaded trace: one program per hardware
-// thread, all derived deterministically from a profile.
+// thread, all derived deterministically from a profile. A generated
+// workload is read-only: callers share one trace across every machine,
+// oracle and goroutine of a sweep, so nothing may write to Threads or to
+// the programs' instructions after New returns.
 type Workload struct {
 	Profile Profile
 	// Threads holds one dynamic trace per hardware thread. Write sets are

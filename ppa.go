@@ -21,6 +21,7 @@ package ppa
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"ppa/internal/cache"
 	"ppa/internal/checkpoint"
@@ -198,18 +199,20 @@ func NewForensicsRecorder(dir string, max int) *ForensicsRecorder {
 	return forensics.NewRecorder(dir, max)
 }
 
-func (rc RunConfig) resolve() (workload.Profile, persist.Config, int, error) {
+// resolve resolves rc into its run's workload trace (shared through
+// generate's memo), scheme configuration and instructions per thread.
+func (rc RunConfig) resolve() (*workload.Workload, persist.Config, int, error) {
 	var prof workload.Profile
 	if rc.Profile != nil {
 		prof = *rc.Profile
 	} else {
 		name := rc.App
 		if name == "" {
-			return prof, persist.Config{}, 0, fmt.Errorf("ppa: RunConfig needs App or Profile")
+			return nil, persist.Config{}, 0, fmt.Errorf("ppa: RunConfig needs App or Profile")
 		}
 		p, err := workload.ByName(name)
 		if err != nil {
-			return prof, persist.Config{}, 0, err
+			return nil, persist.Config{}, 0, err
 		}
 		prof = p
 	}
@@ -223,7 +226,7 @@ func (rc RunConfig) resolve() (workload.Profile, persist.Config, int, error) {
 		}
 		cfg, err := SchemeConfig(s)
 		if err != nil {
-			return prof, persist.Config{}, 0, err
+			return nil, persist.Config{}, 0, err
 		}
 		sch = cfg
 	}
@@ -231,7 +234,45 @@ func (rc RunConfig) resolve() (workload.Profile, persist.Config, int, error) {
 	if insts <= 0 {
 		insts = DefaultInsts
 	}
-	return prof, sch, insts, nil
+	w, err := generate(prof, insts)
+	if err != nil {
+		return nil, persist.Config{}, 0, err
+	}
+	return w, sch, insts, nil
+}
+
+// traceMemo holds the last workload trace generate produced. A sweep runs
+// one configuration many times — every torture point, crash trial and
+// mutation leg — and each run takes the same trace from here instead of
+// generating it again. Sharing is safe because generated traces are
+// read-only (see workload.Workload).
+var traceMemo struct {
+	sync.Mutex
+	prof  workload.Profile
+	insts int
+	w     *workload.Workload
+}
+
+// generate returns the workload trace for prof at insts instructions per
+// thread: the held trace on a hit. On a miss the held trace is dropped
+// before the new one is generated, outside the lock, so the memo never
+// keeps an old trace alive while a new one is built.
+func generate(prof workload.Profile, insts int) (*workload.Workload, error) {
+	traceMemo.Lock()
+	if w := traceMemo.w; w != nil && traceMemo.prof == prof && traceMemo.insts == insts {
+		traceMemo.Unlock()
+		return w, nil
+	}
+	traceMemo.w = nil
+	traceMemo.Unlock()
+	w, err := workload.New(prof, insts)
+	if err != nil {
+		return nil, err
+	}
+	traceMemo.Lock()
+	traceMemo.prof, traceMemo.insts, traceMemo.w = prof, insts, w
+	traceMemo.Unlock()
+	return w, nil
 }
 
 // Result is the outcome of a completed run.
@@ -280,11 +321,7 @@ func runBudget(insts int) uint64 { return uint64(insts)*4000 + 1_000_000 }
 // configuration, for callers that need fine-grained control (crash
 // injection, stepping, invariant checks).
 func NewSystem(rc RunConfig) (*multicore.System, error) {
-	prof, sch, insts, err := rc.resolve()
-	if err != nil {
-		return nil, err
-	}
-	w, err := workload.New(prof, insts)
+	w, sch, _, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +330,11 @@ func NewSystem(rc RunConfig) (*multicore.System, error) {
 
 // Run executes one simulation to completion.
 func Run(rc RunConfig) (*Result, error) {
-	_, _, insts, err := rc.resolve()
+	w, sch, insts, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := NewSystem(rc)
+	sys, err := multicore.NewSystem(rc.machine(len(w.Threads), sch), w)
 	if err != nil {
 		return nil, err
 	}
@@ -351,11 +388,7 @@ type FailureOutcome struct {
 // (for schemes that support it), recovers, verifies crash consistency, and
 // resumes the interrupted programs to completion.
 func RunWithFailure(rc RunConfig, failCycle uint64) (*FailureOutcome, error) {
-	prof, sch, insts, err := rc.resolve()
-	if err != nil {
-		return nil, err
-	}
-	w, err := workload.New(prof, insts)
+	w, sch, insts, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}

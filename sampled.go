@@ -7,7 +7,6 @@ import (
 	"ppa/internal/isa"
 	"ppa/internal/multicore"
 	"ppa/internal/obs"
-	"ppa/internal/workload"
 )
 
 // SampleConfig sets the SMARTS-style sampling regime: each period of
@@ -19,20 +18,6 @@ type SampleConfig = multicore.SampleConfig
 // from the detailed windows.
 type SampledResult = multicore.SampledResult
 
-// assembleSampled resolves a RunConfig into the machine configuration and
-// workload a sampled run needs.
-func assembleSampled(rc RunConfig) (multicore.Config, *workload.Workload, error) {
-	prof, sch, insts, err := rc.resolve()
-	if err != nil {
-		return multicore.Config{}, nil, err
-	}
-	w, err := workload.New(prof, insts)
-	if err != nil {
-		return multicore.Config{}, nil, err
-	}
-	return rc.machine(len(w.Threads), sch), w, nil
-}
-
 // RunSampled executes one simulation in sampled mode: detailed out-of-order
 // windows alternating with oracle fast-forward, per sc. Architectural state
 // (registers, memory, NVM image) is exact — every instruction executes
@@ -40,15 +25,18 @@ func assembleSampled(rc RunConfig) (multicore.Config, *workload.Workload, error)
 // samples carry the sampled flag. Validate accuracy for a new configuration
 // with SampleAudit before trusting the timing.
 func RunSampled(rc RunConfig, sc SampleConfig) (*SampledResult, error) {
-	cfg, w, err := assembleSampled(rc)
+	w, sch, _, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}
-	return multicore.RunSampled(cfg, w, sc)
+	return multicore.RunSampled(rc.machine(len(w.Threads), sch), w, sc)
 }
 
 // SampleAuditReport compares a sampled run against the full detailed
-// simulation of the same committed trajectory.
+// simulation of the same committed trajectory. Each leg's wall time covers
+// building its machine and running the trajectory; the shared workload
+// trace is generated once before either timer starts, so neither leg pays
+// for it.
 type SampleAuditReport struct {
 	App    string `json:"app"`
 	Scheme string `json:"scheme"`
@@ -130,30 +118,33 @@ func SampleAudit(rc RunConfig, sc SampleConfig) (*SampleAuditReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	prof, sch, insts, err := rc.resolve()
+	// The trace is generated before either timer starts: both legs time
+	// the same work, building a machine and running the trajectory.
+	w, sch, insts, err := rc.resolve()
 	if err != nil {
 		return nil, err
 	}
+	fullRC, sampledRC := rc, rc
+	fullRC.Obs = obs.NewHub(1) // metrics only; no use for a trace ring here
+	sampledRC.Obs = obs.NewHub(1)
 
 	// Full detailed run.
-	fullRC := rc
-	fullRC.Obs = obs.NewHub(1) // metrics only; no use for a trace ring here
 	fullStart := time.Now()
-	full, err := Run(fullRC)
+	sys, err := multicore.NewSystem(fullRC.machine(len(w.Threads), sch), w)
 	if err != nil {
 		return nil, fmt.Errorf("ppa: audit full run: %w", err)
 	}
+	if err := sys.Run(runBudget(insts)); err != nil {
+		sys.Release()
+		return nil, fmt.Errorf("ppa: audit full run: %w", err)
+	}
+	full := sys.Collect()
+	sys.Release()
 	fullWall := time.Since(fullStart)
 
 	// Sampled run of the same trajectory.
-	sampledRC := rc
-	sampledRC.Obs = obs.NewHub(1)
-	cfg, w, err := assembleSampled(sampledRC)
-	if err != nil {
-		return nil, err
-	}
 	sampledStart := time.Now()
-	ss, err := multicore.NewSampled(cfg, w, sc)
+	ss, err := multicore.NewSampled(sampledRC.machine(len(w.Threads), sch), w, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +180,7 @@ func SampleAudit(rc RunConfig, sc SampleConfig) (*SampleAuditReport, error) {
 	sp95, sn := histSample(sampledRC.Obs, "store.commit-to-durable-cycles")
 
 	rep := &SampleAuditReport{
-		App:              prof.Name,
+		App:              w.Profile.Name,
 		Scheme:           sch.Kind.String(),
 		Insts:            insts,
 		Window:           sc.Window,
